@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"olfui/internal/atpg"
@@ -304,12 +305,102 @@ func TestMissionCoverageExcludesStemDetections(t *testing.T) {
 	}
 }
 
+// TestCampaignMalformedPatternSet feeds the pattern provider stimuli the
+// grader cannot simulate — a cycle row shorter than the input list, and a
+// driven net that is not a primary input — and checks each fails the
+// campaign with an error naming the set instead of panicking the provider
+// goroutine, leaving no goroutines behind.
+func TestCampaignMalformedPatternSet(t *testing.T) {
+	n := benchCircuit(t)
+	u := fault.NewUniverse(n)
+	var inputs []netlist.NetID
+	for _, g := range n.PrimaryInputs() {
+		inputs = append(inputs, n.Gates[g].Out)
+	}
+	full := []logic.V{logic.One, logic.Zero, logic.One, logic.One, logic.Zero}
+	internal := n.Gates[n.PrimaryOutputs()[0]].Ins[0] // an adder sum bit
+	base := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		stim sim.Stimulus
+		want string
+	}{
+		{"short-row", sim.Stimulus{Inputs: inputs, Cycles: [][]logic.V{full, full[:2]}},
+			"cycle 1 has 2 values, want 5"},
+		{"internal-net", sim.Stimulus{Inputs: append(inputs[:4:4], internal), Cycles: [][]logic.V{full}},
+			"is not a primary input"},
+	} {
+		_, err := RunCampaign(context.Background(), n, u, []Scenario{
+			{Name: "online-obs", Observe: constraint.ObserveOutputs},
+		}, Options{Patterns: []PatternSet{{Name: tc.name, Stim: tc.stim}}})
+		if err == nil {
+			t.Fatalf("%s: campaign succeeded on a malformed pattern set", tc.name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `pattern set "`+tc.name+`"`) || !strings.Contains(msg, tc.want) {
+			t.Fatalf("%s: err = %v, want the set name and %q", tc.name, err, tc.want)
+		}
+	}
+	waitGoroutines(t, base)
+}
+
+// countdownCtx reports context.Canceled from Err once it has been polled
+// more than left times: a cancellation that lands at a chosen poll while a
+// set is being graded, with no timing involved.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPatternProviderCancelMidSet cancels the pattern provider while it
+// grades a long set. The grader polls the context once per cycle, so Run
+// returns context.Canceled at the first poll after the cancellation, without
+// finishing the set or emitting its delta. The all-X stimulus detects
+// nothing, so no word retires early and every cycle would otherwise run.
+func TestPatternProviderCancelMidSet(t *testing.T) {
+	n := benchCircuit(t)
+	u := fault.NewUniverse(n)
+	var inputs []netlist.NetID
+	for _, g := range n.PrimaryInputs() {
+		inputs = append(inputs, n.Gates[g].Out)
+	}
+	row := make([]logic.V, len(inputs))
+	for i := range row {
+		row[i] = logic.X
+	}
+	cycles := make([][]logic.V, 10000)
+	for c := range cycles {
+		cycles[c] = row
+	}
+	const polls = 5 // the set-start check, then four cycles
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(polls)
+	p := &PatternProvider{Sets: []PatternSet{{Name: "long", Stim: sim.Stimulus{Inputs: inputs, Cycles: cycles}}}}
+	err := p.Run(ctx, Env{N: n, Universe: u}, func(fault.Delta) error {
+		t.Error("cancelled set emitted a delta")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if left := ctx.left.Load(); left != -1 {
+		t.Fatalf("context polled %d times, want %d: grading must stop at the first poll after cancellation",
+			polls-left, polls+1)
+	}
+}
+
 func allFaultGradeSeq(n *netlist.Netlist, u *fault.Universe, stim sim.Stimulus) (*fault.Set, error) {
 	all := make([]fault.FID, u.NumFaults())
 	for id := range all {
 		all[id] = fault.FID(id)
 	}
-	return sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), all)
+	return sim.GradeSeq(context.Background(), n, u, stim, sim.OutputObsPoints(n), all, nil, nil)
 }
 
 // TestCampaignProgressEvents checks the per-provider event stream: ordered

@@ -578,7 +578,9 @@ func (p *PatternProvider) Channel() Channel { return ChannelMission }
 // from later gradings — re-detection could only re-announce an entry the
 // lattice already holds, so skipping it changes no merged status, no
 // conflict outcome, and no Detected union, while each set's simulation cost
-// tracks the shrinking remainder.
+// tracks the shrinking remainder. A set the grader rejects (a row of the
+// wrong width, a driven net that is not a primary input) fails Run with an
+// error naming the set, and cancellation is noticed within one cycle.
 func (p *PatternProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 	remaining := make([]fault.FID, env.Universe.NumFaults())
 	for id := range remaining {
@@ -598,7 +600,7 @@ func (p *PatternProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 			obsFn = constraint.ObserveOutputs
 		}
 		setSpan := env.Span.Child("set:" + set.Name)
-		det, err := sim.GradeSeqSitesObs(
+		det, err := sim.GradeSeq(ctx,
 			env.N, env.Universe, set.Stim, obsFn(env.N), remaining, nil, env.Metrics)
 		if err != nil {
 			setSpan.End()

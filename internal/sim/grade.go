@@ -18,8 +18,9 @@ import (
 // before the next fault. Values are identical to a full faulty-machine pass —
 // a gate's output can differ from the good machine only if an input net
 // differs or the gate itself carries an injection, and both cases are seeded
-// or scheduled (see TestGraderEventDrivenMatchesFullEval). A Grader is not
-// safe for concurrent use.
+// or scheduled (see TestGraderMatchesFullEvalReference). GradeSeq runs its
+// sequential fault words on the same machinery. A Grader is not safe for
+// concurrent use.
 type Grader struct {
 	n     *netlist.Netlist
 	u     *fault.Universe
@@ -285,13 +286,12 @@ func (gr *Grader) gradeBatch(patterns, statePatterns []Pattern, faults []fault.F
 				Site: fault.Site{Gate: rep, Pin: f.Pin}, SA: f.SA, Mask: ^uint64(0)})
 		}
 		gr.mFaultEvals.Inc()
-		if gr.evalConeDetect() {
+		ep := gr.beginEvent()
+		gr.settleCone(ep)
+		if gr.obsDiff(ep, true) != 0 {
 			detected.Add(fid)
 		}
-		for i, net := range gr.undoNets {
-			s.vals[net] = gr.undoVals[i]
-		}
-		s.ClearInjections()
+		gr.rollback()
 	}
 }
 
@@ -321,17 +321,21 @@ func (gr *Grader) siteActivated(net netlist.NetID, sa logic.V) bool {
 	return v.L0 != 0
 }
 
-// evalConeDetect re-settles only the injection sites' output cone on top of
-// the good values, logging every changed net, then reports whether any
-// observation point differs from the good machine.
-func (gr *Grader) evalConeDetect() bool {
-	s := gr.good
+// beginEvent opens one faulty-machine evaluation: a fresh epoch with an
+// empty pending heap and undo log.
+func (gr *Grader) beginEvent() uint64 {
 	gr.epoch++
-	ep := gr.epoch
 	gr.heap = gr.heap[:0]
 	gr.undoNets = gr.undoNets[:0]
 	gr.undoVals = gr.undoVals[:0]
+	return gr.epoch
+}
 
+// settleCone re-settles the output cone of the installed injection sites,
+// and of any nets already written this epoch, on top of the good values,
+// logging every changed net. It returns the number of gates evaluated.
+func (gr *Grader) settleCone(ep uint64) int {
+	s := gr.good
 	// Seed from the injection sites. Source gates (pos < 0) are re-evaluated
 	// immediately — they have no combinational inputs, only a refreshed
 	// output the injection may override. Everything else is scheduled.
@@ -345,24 +349,35 @@ func (gr *Grader) evalConeDetect() bool {
 	}
 	// Drain in topological-position order, so each gate is evaluated at most
 	// once with all of its faulty input values already settled.
+	evals := 0
 	for len(gr.heap) > 0 {
 		gid := gr.graph.At(gr.popMin())
 		g := &s.N.Gates[gid]
 		if g.Out == netlist.InvalidNet {
 			continue // KOutput marker: nothing to compute
 		}
+		evals++
 		gr.writeNet(g.Out, s.outVal(gid, s.evalGate(gid, g)), ep)
 	}
+	return evals
+}
 
+// obsDiff returns the lanes in which some observation point of the settled
+// faulty machine reads a definite value opposite to the good machine's. With
+// first set it returns at the first differing point, so the mask is then
+// only known to be non-zero.
+func (gr *Grader) obsDiff(ep uint64, first bool) uint64 {
+	s := gr.good
+	var diff uint64
 	// Only two things can flip an observation point: its net changed, or its
 	// own gate carries a pin injection (which alters the read with no net
 	// change). Scan exactly those.
 	for i, net := range gr.undoNets {
 		for _, oi := range gr.obsNetIdx[gr.obsNetStart[net]:gr.obsNetStart[net+1]] {
 			p := gr.obs[oi]
-			bad := s.pinVal(p.Gate, &s.N.Gates[p.Gate], int(p.Pin))
-			if gr.undoVals[i].Diff(bad) != 0 {
-				return true
+			diff |= gr.undoVals[i].Diff(s.pinVal(p.Gate, &s.N.Gates[p.Gate], int(p.Pin)))
+			if first && diff != 0 {
+				return diff
 			}
 		}
 	}
@@ -374,28 +389,42 @@ func (gr *Grader) evalConeDetect() bool {
 			if gr.chStamp[net] == ep {
 				good = gr.undoVals[gr.chIdx[net]]
 			}
-			if good.Diff(s.pinVal(p.Gate, &s.N.Gates[p.Gate], int(p.Pin))) != 0 {
-				return true
+			diff |= good.Diff(s.pinVal(p.Gate, &s.N.Gates[p.Gate], int(p.Pin)))
+			if first && diff != 0 {
+				return diff
 			}
 		}
 	}
-	return false
+	return diff
 }
 
-// writeNet commits a recomputed net value: if it changed, the old value goes
-// to the undo log and every consumer is scheduled. Each net has one driver
-// and each gate evaluates at most once per fault, so a net is logged at most
-// once.
+// rollback restores every net written this epoch to its good value and
+// removes the injections.
+func (gr *Grader) rollback() {
+	s := gr.good
+	for i, net := range gr.undoNets {
+		s.vals[net] = gr.undoVals[i]
+	}
+	s.ClearInjections()
+}
+
+// writeNet commits a recomputed net value: if it changed, every consumer is
+// scheduled, and the first change of the net this epoch logs its good value
+// for rollback. A combinational net is written at most once per epoch (one
+// driver, evaluated at most once), but a flip-flop output can be written
+// twice — from divergent sequential state, then by its own output injection
+// — and only the first write holds the good value.
 func (gr *Grader) writeNet(net netlist.NetID, nv logic.PV, ep uint64) {
 	s := gr.good
-	old := s.vals[net]
-	if nv == old {
+	if nv == s.vals[net] {
 		return
 	}
-	gr.chStamp[net] = ep
-	gr.chIdx[net] = int32(len(gr.undoNets))
-	gr.undoNets = append(gr.undoNets, net)
-	gr.undoVals = append(gr.undoVals, old)
+	if gr.chStamp[net] != ep {
+		gr.chStamp[net] = ep
+		gr.chIdx[net] = int32(len(gr.undoNets))
+		gr.undoNets = append(gr.undoNets, net)
+		gr.undoVals = append(gr.undoVals, s.vals[net])
+	}
 	s.vals[net] = nv
 	for _, c := range gr.graph.Consumers(net) {
 		if pos := gr.graph.Pos(c); pos >= 0 {

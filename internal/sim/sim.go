@@ -1,9 +1,17 @@
 // Package sim implements levelized ternary simulation of netlists with
 // 64-way parallelism, plus stuck-at fault grading in two flavours:
 //
-//   - pattern-parallel single-fault (PPSFP) combinational grading, and
-//   - fault-parallel sequential grading (63 faulty machines + 1 good
-//     reference machine per 64-bit word), used to grade SBST programs.
+//   - pattern-parallel single-fault (PPSFP) combinational grading (Grader),
+//     and
+//   - fault-parallel sequential grading (GradeSeq: 63 faulty machines per
+//     64-bit word, each word simulated as a difference against one shared
+//     good machine per cycle), used to grade SBST programs and mission
+//     stimuli.
+//
+// Both graders are event-driven. The good machine settles in one levelized
+// pass; a faulty machine then re-evaluates only gates with an input that
+// differs from the good machine or with an injection of their own, since no
+// other gate's output can differ. The result equals a full faulty pass.
 //
 // The simulator is cycle-based: EvalComb settles the combinational network
 // in one levelized pass, Step additionally commits flip-flop state. DFFR
@@ -246,19 +254,35 @@ func (s *Simulator) Step() {
 // combinational values. Callers that need to sample outputs between
 // settling and the clock edge use EvalComb + CommitState directly.
 func (s *Simulator) CommitState() {
+	s.computeNext()
+	s.latch()
+}
+
+// computeNext records every flip-flop's next state from the settled
+// combinational values.
+func (s *Simulator) computeNext() {
 	for _, f := range s.ffs {
-		g := &s.N.Gates[f]
-		d := s.pinVal(f, g, netlist.DffD)
-		if g.Kind == netlist.KDFFR {
-			rstn := s.pinVal(f, g, netlist.DffRstN)
-			d = logic.PVMux(rstn, logic.PVAllZero, d)
-		}
-		s.next[f] = d
+		s.next[f] = s.nextState(f)
 	}
+}
+
+// latch clocks the recorded next states into the flip-flop outputs.
+func (s *Simulator) latch() {
 	for _, f := range s.ffs {
-		g := &s.N.Gates[f]
-		s.vals[g.Out] = s.outVal(f, s.next[f])
+		s.vals[s.N.Gates[f].Out] = s.outVal(f, s.next[f])
 	}
+}
+
+// nextState is flip-flop f's next state from its current (injected) pin
+// reads: D, forced to 0 by a low RSTN on a DFFR.
+func (s *Simulator) nextState(f netlist.GateID) logic.PV {
+	g := &s.N.Gates[f]
+	d := s.pinVal(f, g, netlist.DffD)
+	if g.Kind == netlist.KDFFR {
+		rstn := s.pinVal(f, g, netlist.DffRstN)
+		d = logic.PVMux(rstn, logic.PVAllZero, d)
+	}
+	return d
 }
 
 // Run executes n Steps.

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
+	"olfui/internal/obs"
 )
 
 func mustSim(t *testing.T, n *netlist.Netlist) *Simulator {
@@ -378,7 +381,7 @@ func TestGradeSeqToggleCircuit(t *testing.T) {
 	} {
 		ids = append(ids, u.IDOf(f))
 	}
-	det, err := GradeSeq(n, u, stim, OutputObsPoints(n), ids)
+	det, err := GradeSeq(context.Background(), n, u, stim, OutputObsPoints(n), ids, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,9 +392,13 @@ func TestGradeSeqToggleCircuit(t *testing.T) {
 	}
 }
 
+// TestGradeSeqManyFaultBatches grades more than 63 faults, so several
+// words, on a chain of buffers from an input to an output, where every
+// fault is detected by cycle 1. It also pins the telemetry and word
+// retirement: each word stops after two cycles however long the stimulus
+// runs, while lanes and words keep counting one lane per fault and 63 lanes
+// per word.
 func TestGradeSeqManyFaultBatches(t *testing.T) {
-	// More than 63 faults forces multiple batches; a chain of buffers from
-	// an input to an output makes every fault trivially detectable.
 	n := netlist.New("chain")
 	in := n.Input("in")
 	cur := in
@@ -408,13 +415,65 @@ func TestGradeSeqManyFaultBatches(t *testing.T) {
 		t.Fatalf("want >64 faults, got %d", len(all))
 	}
 	stim := Stimulus{Inputs: []netlist.NetID{in}}
-	stim.Cycles = [][]logic.V{{logic.Zero}, {logic.One}}
-	det, err := GradeSeq(n, u, stim, OutputObsPoints(n), all)
+	for c := 0; c < 10; c++ {
+		stim.Cycles = append(stim.Cycles, []logic.V{logic.FromBit(uint64(c))})
+	}
+	reg := obs.New()
+	det, err := GradeSeq(context.Background(), n, u, stim, OutputObsPoints(n), all, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if det.Count() != len(all) {
 		t.Errorf("detected %d/%d buffer-chain faults", det.Count(), len(all))
+	}
+	words := int64((len(all) + 62) / 63)
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"sim.gradeseq.lanes", int64(len(all))},
+		{"sim.gradeseq.words", words},
+		{"sim.gradeseq.cycles", 2 * words},
+	} {
+		if got := snap.Counter(c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if snap.Counter("sim.gradeseq.gate_evals") == 0 {
+		t.Error("sim.gradeseq.gate_evals recorded no faulty gate evaluations")
+	}
+}
+
+// TestGradeSeqRejectsMalformedStimulus: rows of the wrong width and driven
+// nets that are not primary inputs are errors, not panics or silently
+// overwritten drives.
+func TestGradeSeqRejectsMalformedStimulus(t *testing.T) {
+	n := netlist.New("m")
+	a := n.Input("a")
+	b := n.Input("b")
+	y := n.And("y", a, b)
+	n.OutputPort("po", y)
+	u := fault.NewUniverse(n)
+	all := []fault.FID{0}
+	for _, tc := range []struct {
+		name string
+		stim Stimulus
+		want string
+	}{
+		{"short row", Stimulus{Inputs: []netlist.NetID{a, b},
+			Cycles: [][]logic.V{{logic.One, logic.One}, {logic.One}}}, "cycle 1 has 1 values, want 2"},
+		{"long row", Stimulus{Inputs: []netlist.NetID{a},
+			Cycles: [][]logic.V{{logic.One, logic.One}}}, "cycle 0 has 2 values, want 1"},
+		{"internal net", Stimulus{Inputs: []netlist.NetID{a, y},
+			Cycles: [][]logic.V{{logic.One, logic.One}}}, `net "y" is not a primary input`},
+		{"bad net", Stimulus{Inputs: []netlist.NetID{netlist.NetID(len(n.Nets))},
+			Cycles: [][]logic.V{{logic.One}}}, "out of range"},
+	} {
+		_, err := GradeSeq(context.Background(), n, u, tc.stim, OutputObsPoints(n), all, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

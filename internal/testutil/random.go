@@ -13,6 +13,12 @@ type RandOpts struct {
 	Gates   int // combinational gates
 	FFs     int // flip-flops (0 for purely combinational)
 	Outputs int // primary outputs
+	// ResetFFs of the flip-flops are DFFRs whose active-low reset reads a
+	// random net; Ties constant gates (alternately 0 and 1) join the
+	// operand pool. Both default to none and then leave the circuit a
+	// given seed builds unchanged.
+	ResetFFs int
+	Ties     int
 }
 
 // RandomNetlist builds a deterministic pseudo-random netlist from a seed:
@@ -36,6 +42,13 @@ func RandomNetlist(seed int64, o RandOpts) *netlist.Netlist {
 		ffQ[i] = n.NewNet(fmt.Sprintf("q%d", i))
 		pool = append(pool, ffQ[i])
 	}
+	for i := 0; i < o.Ties; i++ {
+		if i%2 == 0 {
+			pool = append(pool, n.Tie0(fmt.Sprintf("t%d", i)))
+		} else {
+			pool = append(pool, n.Tie1(fmt.Sprintf("t%d", i)))
+		}
+	}
 
 	pick := func() netlist.NetID { return pool[rng.Intn(len(pool))] }
 	kinds := []netlist.Kind{
@@ -58,7 +71,11 @@ func RandomNetlist(seed int64, o RandOpts) *netlist.Netlist {
 	}
 
 	for i, q := range ffQ {
-		n.AddGateOut(netlist.KDFF, fmt.Sprintf("ff%d", i), q, pick())
+		if i < o.ResetFFs {
+			n.AddGateOut(netlist.KDFFR, fmt.Sprintf("ff%d", i), q, pick(), pick())
+		} else {
+			n.AddGateOut(netlist.KDFF, fmt.Sprintf("ff%d", i), q, pick())
+		}
 	}
 	for i := 0; i < o.Outputs; i++ {
 		// Bias outputs toward late (deep) nets so most logic is observable.
