@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,10 +70,10 @@ func TestBenchVerdictsEqualWithLearning(t *testing.T) {
 	}
 }
 
-// BenchmarkCampaignBench measures the full sharded campaign — baseline
-// shards plus the three scenarios streaming into one merge.
+// BenchmarkCampaignBench measures the full campaign — the baseline plus the
+// three scenarios streaming into one merge.
 func BenchmarkCampaignBench(b *testing.B) {
-	cfg := config{width: 4, shards: 4, scenarioShards: 1, frames: 2}
+	cfg := config{width: 4, frames: 2}
 	for i := 0; i < b.N; i++ {
 		if err := runQuiet(cfg); err != nil {
 			b.Fatal(err)
@@ -83,41 +81,20 @@ func BenchmarkCampaignBench(b *testing.B) {
 	}
 }
 
-// sweepBenchConfig is the BENCH_PR9 workload: a heavily sharded, swept
-// campaign — the configuration where the static partition fragments the
-// fault-dropping scope into k isolated per-shard remainders, and the
-// work-stealing scheduler collapses each provider group to one queue-fed
-// scope served hardest-first. The backtrack limit keeps per-class search
-// bounded so the comparison weighs scheduling policy rather than abort
-// churn (both modes abort the identical class set — the limit is per
-// class); learning is off because its build cost is mode-independent and
-// would only dilute the measured scheduling difference.
-func sweepBenchConfig(noSched bool) config {
-	return config{
-		width: 12, frames: 2, shards: 96, scenarioShards: 48,
-		sweep: true, maxFrames: 2, limit: 64, noLearn: true,
-		noSched: noSched,
-	}
+// sweepBenchConfig is the BENCH_PR9 workload: a swept campaign over the
+// width-12 benchmark, every provider feeding its class list to the shared
+// worker pool through a hardest-first lease queue. The backtrack limit keeps
+// per-class search bounded so the measurement weighs scheduling and fault
+// dropping rather than abort churn; learning is off because its build cost
+// would only dilute that.
+var sweepBenchConfig = config{
+	width: 12, frames: 2, sweep: true, maxFrames: 2, limit: 64, noLearn: true,
 }
 
-// BenchmarkCampaignSweep measures the sharded, swept campaign under the
-// work-stealing scheduler (the default path).
+// BenchmarkCampaignSweep measures the swept campaign.
 func BenchmarkCampaignSweep(b *testing.B) {
-	cfg := sweepBenchConfig(false)
 	for i := 0; i < b.N; i++ {
-		if err := runQuiet(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCampaignSweepStatic measures the identical campaign on the static
-// fault.PlanShards partition (-no-sched) — the BENCH_PR9 baseline the
-// scheduler is gated against.
-func BenchmarkCampaignSweepStatic(b *testing.B) {
-	cfg := sweepBenchConfig(true)
-	for i := 0; i < b.N; i++ {
-		if err := runQuiet(cfg); err != nil {
+		if err := runQuiet(sweepBenchConfig); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,23 +103,19 @@ func BenchmarkCampaignSweepStatic(b *testing.B) {
 // runSweepCampaign is the BENCH_PR10 workload: the benchmark circuit's swept
 // mission-reach scenario alone, run through the real campaign machinery with
 // learning on and a multi-depth budget — the depth loop the cross-depth warm
-// start accelerates, undiluted by the full-scan baseline and the non-swept
-// scenarios (which cost the same either way). With the warm start on, replay
-// converts next-depth searches into pattern grading, Learning.Extend replaces
-// the per-depth fact rebuild, and the grader's simulation graph extends in
-// place; with noReplay, every depth rebuilds from scratch exactly as the
-// sweep did before the warm-start engine existed. The backtrack limit is per
-// class, so both modes abort the identical class set; it is tighter than the
-// BENCH_PR9 pair's because hard-class abort churn costs warm and cold the
-// same and would only dilute the measured warm-start difference.
-func runSweepCampaign(tb testing.TB, noReplay bool, reg *obs.Registry) *flow.SweepProvider {
+// start accelerates (replay converts next-depth searches into pattern
+// grading, Learning.Extend replaces the per-depth fact rebuild, and the
+// grader's simulation graph extends in place), undiluted by the full-scan
+// baseline and the non-swept scenarios. The backtrack limit is tighter than
+// BENCH_PR9's because hard-class abort churn would only dilute the measured
+// depth-loop cost.
+func runSweepCampaign(tb testing.TB, reg *obs.Registry) *flow.SweepProvider {
 	n := bench.Build(12)
 	u := fault.NewUniverse(n)
 	reach := bench.Scenarios(2)[2] // mission-reach: the swept shape
 	c := flow.NewCampaign(n, u, flow.CampaignOptions{
-		ATPG:     atpg.Options{BacktrackLimit: 32},
-		NoReplay: noReplay,
-		Metrics:  reg,
+		ATPG:    atpg.Options{BacktrackLimit: 32},
+		Metrics: reg,
 	})
 	sp := &flow.SweepProvider{Scenario: reach, MaxFrames: 6}
 	if err := c.Add(sp); err != nil {
@@ -154,82 +127,22 @@ func runSweepCampaign(tb testing.TB, noReplay bool, reg *obs.Registry) *flow.Swe
 	return sp
 }
 
-// BenchmarkCampaignSweepWarm measures the swept campaign with the cross-depth
-// warm start engaged (the default path).
+// BenchmarkCampaignSweepWarm measures the swept-scenario campaign.
 func BenchmarkCampaignSweepWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runSweepCampaign(b, false, nil)
+		runSweepCampaign(b, nil)
 	}
 }
 
-// BenchmarkCampaignSweepNoReplay measures the identical campaign cold — the
-// BENCH_PR10 baseline the warm-start engine is gated against.
-func BenchmarkCampaignSweepNoReplay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runSweepCampaign(b, true, nil)
-	}
-}
-
-// TestCampaignSweepReplayDigestEqual pins the fairness of the BENCH_PR10 pair
-// at its exact configuration: warm and cold classify every fault of the
-// benchmark identically (byte-identical per-fault status digest) and abort
-// the same number of classes, so the measured speedup buys the same
-// deliverable for less work. It also asserts replay fires on the benchmark
-// workload, so the measured warm side exercises all three warm-start layers
-// rather than just the rebuild elimination.
-func TestCampaignSweepReplayDigestEqual(t *testing.T) {
-	digest := func(sp *flow.SweepProvider) string {
-		st := sp.Result.Outcome.Status
-		b := make([]byte, sp.Result.Universe.NumFaults())
-		for id := range b {
-			b[id] = byte(st.Get(fault.FID(id)))
-		}
-		sum := sha256.Sum256(b)
-		return hex.EncodeToString(sum[:])
-	}
+// TestCampaignSweepReplayFires pins that the BENCH_PR10 workload exercises
+// the cross-depth pattern replay — it drops classes before search — so the
+// benchmark measures all three warm-start layers rather than just the
+// in-place extensions.
+func TestCampaignSweepReplayFires(t *testing.T) {
 	reg := obs.New()
-	warm := runSweepCampaign(t, false, reg)
-	cold := runSweepCampaign(t, true, nil)
-	if w, c := digest(warm), digest(cold); w != c {
-		t.Fatalf("classification digest %s warm, %s cold", w, c)
-	}
-	if w, c := warm.Result.Outcome.Stats.Aborted, cold.Result.Outcome.Stats.Aborted; w != c {
-		t.Fatalf("aborted %d classes warm, %d cold — the benchmark pair no longer does comparable work", w, c)
-	}
+	runSweepCampaign(t, reg)
 	if dropped := reg.Counter("flow.sweep.replay.dropped").Load(); dropped == 0 {
-		t.Fatal("replay dropped no classes on the benchmark workload — the pair no longer measures pattern replay")
-	}
-}
-
-// TestCampaignSweepSchedDigestEqual pins what makes the benchmark pair a fair
-// comparison: at the exact BENCH_PR9 configuration — backtrack limit
-// included — both modes classify every fault identically and abort the same
-// number of classes, so the measured speedup buys the same deliverable for
-// less work rather than a different one. The deeper property (classification
-// is scheduling-order-invariant whenever no verdict aborts) is covered
-// separately by flow's TestSchedulerInvariance; this test is the empirical
-// pin for the benchmark workload itself, where the limit does bound some
-// searches: a per-class backtrack cap aborts a class deterministically
-// regardless of dispatch order, so the pin is expected to hold — and if a
-// future engine change breaks it, the benchmark comparison has silently
-// become unfair and this test is the tripwire.
-func TestCampaignSweepSchedDigestEqual(t *testing.T) {
-	run := func(noSched bool) (string, atpg.Stats) {
-		r := campaignQuiet(t, sweepBenchConfig(noSched))
-		stats := r.Baseline.Stats
-		for _, sr := range r.Scenarios {
-			stats.Add(sr.Outcome.Stats)
-		}
-		return r.ClassDigest(), stats
-	}
-	schedDigest, schedStats := run(false)
-	staticDigest, staticStats := run(true)
-	if schedDigest != staticDigest {
-		t.Fatalf("classification digest %s under the scheduler, %s static", schedDigest, staticDigest)
-	}
-	if schedStats.Aborted != staticStats.Aborted {
-		t.Fatalf("aborted %d classes under the scheduler, %d static — the benchmark pair no longer does comparable work",
-			schedStats.Aborted, staticStats.Aborted)
+		t.Fatal("replay dropped no classes on the benchmark workload — the benchmark no longer measures pattern replay")
 	}
 }
 
@@ -307,8 +220,8 @@ seq xor
 	}
 }
 
-// TestRunShardedWithPatterns drives the binary's whole path — sharded
-// baseline, sharded scenarios, multi-frame injection, pattern import,
+// TestRunShardedWithPatterns drives the binary's whole path — the
+// queue-fed baseline and scenarios, multi-frame injection, pattern import,
 // cross-checks, multi-site oracle selfcheck — end to end.
 func TestRunShardedWithPatterns(t *testing.T) {
 	path := writeStim(t, `
@@ -320,7 +233,7 @@ seq xor-walk
 1001000100001
 0110000100001
 `)
-	cfg := config{width: 2, shards: 3, scenarioShards: 2, frames: 2, patterns: path, selfcheck: true}
+	cfg := config{width: 2, frames: 2, patterns: path, selfcheck: true}
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +263,9 @@ func TestFlagValidation(t *testing.T) {
 		cfg  config
 		want string
 	}{
-		"frames":          {config{width: 2, frames: 0, shards: 1, scenarioShards: 1}, "-frames"},
-		"shards":          {config{width: 2, frames: 2, shards: 0, scenarioShards: 1}, "-shards"},
-		"scenario-shards": {config{width: 2, frames: 2, shards: 1, scenarioShards: -1}, "-scenario-shards"},
-		"max-frames":      {config{width: 2, frames: 3, shards: 1, scenarioShards: 1, maxFrames: 2}, "-max-frames"},
-		"no-replay":       {config{width: 2, frames: 2, shards: 1, scenarioShards: 1, noReplay: true}, "-no-replay"},
+		"frames":     {config{width: 2, frames: 0}, "-frames"},
+		"max-frames": {config{width: 2, frames: 3, maxFrames: 2}, "-max-frames"},
+		"resume":     {config{width: 2, frames: 2, resume: true}, "-resume"},
 	} {
 		_, _, err := runCampaign(context.Background(), tc.cfg, nil)
 		if err == nil {
@@ -371,8 +282,7 @@ func TestFlagValidation(t *testing.T) {
 // depth sweep with per-depth exhaustive selfchecks, report table, and the
 // final cross-checks.
 func TestRunSweepSelfcheck(t *testing.T) {
-	cfg := config{width: 1, frames: 2, shards: 1, scenarioShards: 1,
-		sweep: true, maxFrames: 3, selfcheck: true}
+	cfg := config{width: 1, frames: 2, sweep: true, maxFrames: 3, selfcheck: true}
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -384,8 +294,7 @@ func TestRunSweepSelfcheck(t *testing.T) {
 func TestSweepMatchesOneShotOnBench(t *testing.T) {
 	// Deeper frames need more backtracks than the default limit allows on
 	// the width-2 bench; equality is only claimed absent aborts.
-	swept := campaignQuiet(t, config{width: 2, frames: 2, shards: 1, scenarioShards: 1,
-		sweep: true, maxFrames: 4, limit: 1 << 20})
+	swept := campaignQuiet(t, config{width: 2, frames: 2, sweep: true, maxFrames: 4, limit: 1 << 20})
 	var sw *flow.SweepResult
 	for _, sr := range swept.Scenarios {
 		if sr.Sweep != nil {
@@ -398,8 +307,7 @@ func TestSweepMatchesOneShotOnBench(t *testing.T) {
 	if sw == nil {
 		t.Fatal("no scenario swept")
 	}
-	oneshot := campaignQuiet(t, config{width: 2, frames: sw.FinalFrames, shards: 1, scenarioShards: 1,
-		limit: 1 << 20})
+	oneshot := campaignQuiet(t, config{width: 2, frames: sw.FinalFrames, limit: 1 << 20})
 	for _, r := range []*flow.Report{swept, oneshot} {
 		for _, sr := range r.Scenarios {
 			if sr.Outcome.Stats.Aborted != 0 {
@@ -414,41 +322,15 @@ func TestSweepMatchesOneShotOnBench(t *testing.T) {
 				id, swept.Class[id], oneshot.Class[id], sw.FinalFrames)
 		}
 	}
-}
-
-// TestScenarioShardInvarianceOnBench is the acceptance criterion for
-// scenario sharding: sharded and unsharded ScenarioProvider runs classify
-// every fault of the olfui benchmark identically (absent aborts).
-func TestScenarioShardInvarianceOnBench(t *testing.T) {
-	base := campaignQuiet(t, config{width: 2, frames: 2, shards: 1, scenarioShards: 1})
-	sharded := campaignQuiet(t, config{width: 2, frames: 2, shards: 1, scenarioShards: 4})
-	for _, r := range []*flow.Report{base, sharded} {
-		for _, sr := range r.Scenarios {
-			if sr.Outcome.Stats.Aborted != 0 {
-				t.Fatalf("scenario %q aborted %d classes; invariance only holds absent aborts",
-					sr.Scenario.Name, sr.Outcome.Stats.Aborted)
-			}
+	// The one-shot unrolled reach scenario must have run under multi-frame
+	// injection.
+	var reach *flow.ScenarioResult
+	for _, sr := range oneshot.Scenarios {
+		if sr.Scenario.Name == "mission-reach" {
+			reach = sr
 		}
 	}
-	if len(base.Class) != len(sharded.Class) {
-		t.Fatalf("universe sizes differ: %d vs %d", len(base.Class), len(sharded.Class))
-	}
-	for id := range base.Class {
-		if base.Class[id] != sharded.Class[id] {
-			t.Errorf("fault %d: %v unsharded vs %v sharded", id, base.Class[id], sharded.Class[id])
-		}
-	}
-	// The unrolled reach scenario must have run under multi-frame injection
-	// in both configurations.
-	for _, r := range []*flow.Report{base, sharded} {
-		var reach *flow.ScenarioResult
-		for _, sr := range r.Scenarios {
-			if sr.Scenario.Name == "mission-reach" {
-				reach = sr
-			}
-		}
-		if reach == nil || reach.Sites.Empty() {
-			t.Fatal("mission-reach scenario did not run under multi-frame injection")
-		}
+	if reach == nil || reach.Sites.Empty() {
+		t.Fatal("mission-reach scenario did not run under multi-frame injection")
 	}
 }

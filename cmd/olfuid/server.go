@@ -22,25 +22,14 @@ import (
 )
 
 // runSpec is a submitted campaign's parameters: the benchmark design knobs
-// plus server-side pacing. Zero values take the documented defaults.
+// plus server-side pacing. Zero values take the documented defaults. A
+// submission naming any other field is rejected (handleSubmit), so a client
+// never silently gets a different configuration than it asked for.
 type runSpec struct {
-	Width          int `json:"width"`           // datapath width (default 8)
-	Frames         int `json:"frames"`          // reach-scenario time frames (default 2)
-	Shards         int `json:"shards"`          // full-scan baseline shards (default 1)
-	ScenarioShards int `json:"scenario_shards"` // per-scenario class shards (default 1)
-	MaxFrames      int `json:"max_frames"`      // >0 sweeps the reach scenario to this depth budget
-	Workers        int `json:"workers"`         // campaign-wide worker budget (0 = NumCPU)
-	// NoSched disables the dynamic work-stealing scheduler: providers fall
-	// back to the static shard partitions Shards/ScenarioShards describe.
-	// NOTE: the journal fingerprint covers the provider roster, and the
-	// scheduler collapses shard groups — resume a run under the same
-	// scheduling mode it was submitted with.
-	NoSched bool `json:"no_sched"`
-	// NoReplay disables the depth sweep's cross-depth warm start — pattern
-	// replay plus in-place grader/learning extension (meaningful only with
-	// MaxFrames > 0). The journal fingerprint covers it: resume a run under
-	// the same warm-start mode it was submitted with.
-	NoReplay bool `json:"no_replay"`
+	Width     int `json:"width"`      // datapath width (default 8)
+	Frames    int `json:"frames"`     // reach-scenario time frames (default 2)
+	MaxFrames int `json:"max_frames"` // >0 sweeps the reach scenario to this depth budget
+	Workers   int `json:"workers"`    // campaign-wide worker budget (0 = NumCPU)
 	// Serial runs the campaign's providers one at a time instead of
 	// concurrently — slower, but interrupting the server then leaves a clean
 	// prefix of completed providers for resume to skip.
@@ -58,21 +47,11 @@ func (sp *runSpec) normalize() error {
 	if sp.Frames == 0 {
 		sp.Frames = 2
 	}
-	if sp.Shards == 0 {
-		sp.Shards = 1
-	}
-	if sp.ScenarioShards == 0 {
-		sp.ScenarioShards = 1
-	}
 	switch {
 	case sp.Width < 1 || sp.Width > 64:
 		return fmt.Errorf("width must be in [1,64], got %d", sp.Width)
 	case sp.Frames < 1 || sp.Frames > 12:
 		return fmt.Errorf("frames must be in [1,12], got %d", sp.Frames)
-	case sp.Shards < 1 || sp.Shards > 64:
-		return fmt.Errorf("shards must be in [1,64], got %d", sp.Shards)
-	case sp.ScenarioShards < 1 || sp.ScenarioShards > 64:
-		return fmt.Errorf("scenario_shards must be in [1,64], got %d", sp.ScenarioShards)
 	case sp.MaxFrames != 0 && sp.MaxFrames < sp.Frames:
 		return fmt.Errorf("max_frames (%d) must be 0 or >= frames (%d)", sp.MaxFrames, sp.Frames)
 	case sp.MaxFrames > 16:
@@ -353,10 +332,6 @@ func (s *server) runCampaign(ctx context.Context, r *run) (*flow.Report, error) 
 	delay := time.Duration(spec.DeltaDelayMS) * time.Millisecond
 	opts := flow.Options{
 		Workers:         spec.Workers,
-		NoSched:         spec.NoSched,
-		NoReplay:        spec.NoReplay,
-		Shards:          spec.Shards,
-		ScenarioShards:  spec.ScenarioShards,
 		MaxFrames:       spec.MaxFrames,
 		SerialScenarios: spec.Serial,
 		Metrics:         s.reg,
@@ -468,7 +443,9 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec runSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(req.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad run spec: %v", err)
 		return
 	}
@@ -681,6 +658,9 @@ func writeJSONAtomic(path string, v any) error {
 	return os.Rename(tmp, path)
 }
 
+// readJSON decodes a persisted file leniently: fields the current structs no
+// longer carry are ignored, so runs persisted by an older server (whose specs
+// may name since-removed options) still recover after an upgrade.
 func readJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

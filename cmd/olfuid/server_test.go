@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -73,6 +74,28 @@ func TestServerHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec: got %d, want 400", resp.StatusCode)
+	}
+
+	// A spec naming a field the server does not know — here options older
+	// servers accepted — is refused by name rather than silently run under
+	// a different configuration.
+	for _, field := range []string{"shards", "scenario_shards", "no_sched", "no_replay"} {
+		resp, err := http.Post(hs.URL+"/runs", "application/json",
+			strings.NewReader(`{"width":2,"`+field+`":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `\"`+field+`\"`) {
+			t.Fatalf("spec with %q: got %d %s, want 400 naming the field", field, resp.StatusCode, body)
+		}
+	}
+	srv.mu.Lock()
+	registered := len(srv.order)
+	srv.mu.Unlock()
+	if registered != 0 {
+		t.Fatalf("%d runs registered after rejected submissions, want 0", registered)
 	}
 
 	// Unknown runs 404 everywhere.
@@ -294,6 +317,22 @@ func TestRecoveryListsCompletedRuns(t *testing.T) {
 	}
 	waitState(t, r, runDone, 2*time.Minute)
 	want := r.status()
+
+	// Rewrite the persisted spec as an older server wrote it, with options
+	// this server no longer has: the reload ignores them.
+	runJSON := filepath.Join(r.dir, "run.json")
+	raw, err := os.ReadFile(runJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(raw), `"spec": {`,
+		`"spec": {"shards": 1, "scenario_shards": 1, "no_sched": false, "no_replay": false,`, 1)
+	if legacy == string(raw) {
+		t.Fatalf("run.json has no spec object to extend:\n%s", raw)
+	}
+	if err := os.WriteFile(runJSON, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	srv2, err := newServer(data, obs.New())
 	if err != nil {

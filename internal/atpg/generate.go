@@ -34,8 +34,8 @@ type Stats struct {
 	Backtracks int // total decision flips across all targeted faults
 	// Decisions and Implications total the searches' decision-stack pushes
 	// and implication passes — the raw work the telemetry layer tracks for
-	// throughput tuning (Stats keeps them so shard merges and tests can
-	// reconcile against the obs counters).
+	// throughput tuning (Stats keeps them so tests can reconcile against
+	// the obs counters).
 	Decisions    int
 	Implications int
 	Elapsed      time.Duration
@@ -47,26 +47,6 @@ func (s Stats) String() string {
 		"%d faults / %d classes: %d detected (%d sim-dropped), %d untestable, %d aborted; %d patterns, %d backtracks, %v",
 		s.Faults, s.Classes, s.Detected, s.SimDropped, s.Untestable, s.Aborted,
 		s.Patterns, s.Backtracks, s.Elapsed.Round(time.Microsecond))
-}
-
-// Add accumulates another run's tallies — merging shard outcomes of one
-// partitioned universe. Elapsed takes the maximum, approximating the wall
-// time of shards that ran concurrently.
-func (s *Stats) Add(t Stats) {
-	s.Faults = t.Faults // shards share one universe
-	s.Classes += t.Classes
-	s.Detected += t.Detected
-	s.Untestable += t.Untestable
-	s.Aborted += t.Aborted
-	s.Learned += t.Learned
-	s.SimDropped += t.SimDropped
-	s.Patterns += t.Patterns
-	s.Backtracks += t.Backtracks
-	s.Decisions += t.Decisions
-	s.Implications += t.Implications
-	if t.Elapsed > s.Elapsed {
-		s.Elapsed = t.Elapsed
-	}
 }
 
 // Outcome is the full result of a GenerateAll run.
@@ -91,7 +71,7 @@ type workItem struct {
 }
 
 // GenerateAll runs deterministic ATPG over the collapsed fault list of the
-// universe (or the Options.Classes shard of it) with fault dropping: fault
+// universe (or the Options.Classes subset of it) with fault dropping: fault
 // classes fan out to a bounded worker pool (one Engine per worker), and every
 // pattern a worker generates is immediately fault-simulated against the
 // remaining undetected classes so incidentally covered faults are dropped
@@ -127,15 +107,11 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 
 	// The collapse is recomputed per run rather than shared via Options:
 	// Rep path-compresses (writes), so a shared instance would race across
-	// concurrent shard runs. It is O(faults·α) — noise next to the search.
+	// concurrent runs. It is O(faults·α) — noise next to the search.
 	collapse := fault.NewCollapse(u)
 	reps := opts.Classes
 	if reps == nil {
-		for id := 0; id < u.NumFaults(); id++ {
-			if collapse.Rep(fault.FID(id)) == fault.FID(id) {
-				reps = append(reps, fault.FID(id))
-			}
-		}
+		reps = collapse.Reps()
 	} else {
 		for _, fid := range reps {
 			if int(fid) < 0 || int(fid) >= u.NumFaults() {
@@ -166,7 +142,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	// pattern may well cover a fault the deterministic search gave up on.
 	// livePos[fid] tracks each class's slot for O(1) swap-removal, so a
 	// pattern's grading cost tracks the shrinking remainder instead of
-	// rescanning every class of the shard. Built (and validated) before the
+	// rescanning every targeted class. Built (and validated) before the
 	// worker pool spawns so every error path leaves no goroutine behind.
 	live := append([]fault.FID(nil), reps...)
 	livePos := make([]int32, u.NumFaults())

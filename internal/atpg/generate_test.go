@@ -71,10 +71,11 @@ func TestGenerateAllDeadline(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestGenerateAllShardsMatchFull runs every shard of a PlanShards plan
-// through Options.Classes and checks the lattice-merged union reproduces the
-// unsharded statuses exactly (the circuit resolves without aborts, so
-// verdicts are complete proofs and shard-count-invariant).
+// TestGenerateAllShardsMatchFull splits the collapse representatives
+// round-robin into k disjoint Options.Classes subsets, runs each subset
+// separately, and checks the lattice-merged union reproduces the full run's
+// statuses exactly (the circuit resolves without aborts, so verdicts are
+// complete proofs and subset-invariant).
 func TestGenerateAllShardsMatchFull(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
@@ -85,18 +86,21 @@ func TestGenerateAllShardsMatchFull(t *testing.T) {
 	if full.Stats.Aborted != 0 {
 		t.Fatalf("benchmark circuit aborted %d classes", full.Stats.Aborted)
 	}
+	reps := fault.NewCollapse(u).Reps()
 	for _, k := range []int{2, 5} {
 		acc := fault.NewAccumulator(u)
-		shards := fault.PlanShards(u, nil, k)
+		subsets := make([][]fault.FID, k)
+		for i, fid := range reps {
+			subsets[i%k] = append(subsets[i%k], fid)
+		}
 		classes := 0
-		for _, sh := range shards {
-			out, err := GenerateAll(context.Background(), n, u, Options{Classes: sh.Classes})
+		for si, sub := range subsets {
+			out, err := GenerateAll(context.Background(), n, u, Options{Classes: sub})
 			if err != nil {
 				t.Fatal(err)
 			}
 			classes += out.Stats.Classes
-			d := fault.Delta{Source: "shard"}
-			d.Source = "shard" + string(rune('0'+sh.Index))
+			d := fault.Delta{Source: "subset" + string(rune('0'+si))}
 			for id := 0; id < u.NumFaults(); id++ {
 				if st := out.Status.Get(fault.FID(id)); st != fault.Undetected {
 					d.FIDs = append(d.FIDs, fault.FID(id))
@@ -104,15 +108,15 @@ func TestGenerateAllShardsMatchFull(t *testing.T) {
 				}
 			}
 			if err := acc.Apply(d); err != nil {
-				t.Fatalf("k=%d shard %d: %v", k, sh.Index, err)
+				t.Fatalf("k=%d subset %d: %v", k, si, err)
 			}
 		}
 		if classes != full.Stats.Classes {
-			t.Fatalf("k=%d: shards targeted %d classes, full run %d", k, classes, full.Stats.Classes)
+			t.Fatalf("k=%d: subsets targeted %d classes, full run %d", k, classes, full.Stats.Classes)
 		}
 		for id := 0; id < u.NumFaults(); id++ {
 			if got, want := acc.Get(fault.FID(id)), full.Status.Get(fault.FID(id)); got != want {
-				t.Fatalf("k=%d fault %d: sharded %v, full %v", k, id, got, want)
+				t.Fatalf("k=%d fault %d: subsets %v, full %v", k, id, got, want)
 			}
 		}
 	}

@@ -107,6 +107,19 @@ func (c *Collapse) NumClasses() int {
 	return n
 }
 
+// Reps returns the class representatives in ascending FID order — the
+// collapsed class list GenerateAll targets by default. It is never nil, so an
+// empty universe yields an explicit empty list.
+func (c *Collapse) Reps() []FID {
+	reps := []FID{}
+	for i := range c.parent {
+		if c.find(int32(i)) == int32(i) {
+			reps = append(reps, FID(i))
+		}
+	}
+	return reps
+}
+
 // SameClass reports whether two faults are structurally equivalent.
 func (c *Collapse) SameClass(a, b FID) bool { return c.Rep(a) == c.Rep(b) }
 

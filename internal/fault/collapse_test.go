@@ -113,6 +113,23 @@ func TestCollapseClassCountHandCounted(t *testing.T) {
 	if got := cl.NumClasses(); got != 4 {
 		t.Errorf("collapsed classes = %d, want 4", got)
 	}
+	// Reps lists exactly those classes, each by its own representative, in
+	// ascending FID order.
+	reps := cl.Reps()
+	if len(reps) != 4 {
+		t.Fatalf("Reps = %v, want 4 representatives", reps)
+	}
+	for i, fid := range reps {
+		if cl.Rep(fid) != fid {
+			t.Errorf("Reps[%d] = %d is not its class representative", i, fid)
+		}
+		if i > 0 && reps[i-1] >= fid {
+			t.Errorf("Reps not ascending: %v", reps)
+		}
+	}
+	if empty := NewCollapse(NewUniverse(netlist.New("empty"))).Reps(); empty == nil || len(empty) != 0 {
+		t.Errorf("empty universe Reps = %#v, want a non-nil empty list", empty)
+	}
 }
 
 func TestCollapseClassCountConsensus(t *testing.T) {

@@ -66,23 +66,6 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
-func TestStatusMapOverlay(t *testing.T) {
-	n := netlist.New("ov")
-	a := n.Input("a")
-	n.OutputPort("po", n.Not("inv", a))
-	u := NewUniverse(n)
-	dst, src := NewStatusMap(u), NewStatusMap(u)
-	dst.Set(0, Detected)
-	src.Set(1, Untestable)
-	src.Set(2, Aborted)
-	dst.Overlay(src)
-	for id, want := range map[FID]Status{0: Detected, 1: Untestable, 2: Aborted} {
-		if got := dst.Get(id); got != want {
-			t.Errorf("fault %d: %v, want %v", id, got, want)
-		}
-	}
-}
-
 // TestSiteMapExtensionAppendsPerFrame pins the extension semantics the depth
 // sweep relies on: replicas recorded after an initial build (one Extend's
 // worth per new frame) append AFTER the existing ones, preserving frame
@@ -123,43 +106,4 @@ func TestSiteMapExtensionAppendsPerFrame(t *testing.T) {
 	if inj := nilMap.Expand(f); len(inj.Sites) != 1 || inj.Sites[0] != f.Site {
 		t.Fatalf("nil map expansion after AddReplica = %+v", inj)
 	}
-}
-
-// TestStatusMapOverlayOverlapResolved pins Overlay's semantics when per-depth
-// maps overlap on already-resolved faults — the shape a sweep's per-depth
-// outcomes have: a fault proven Untestable at one depth re-announced
-// identically by an overlapping map keeps its status, Undetected entries
-// never erase a resolved verdict, and a later non-Undetected entry wins
-// (Overlay is last-writer-wins on resolved faults; use MergeStatus where
-// arbitration is needed).
-func TestStatusMapOverlayOverlapResolved(t *testing.T) {
-	n := netlist.New("ov2")
-	a := n.Input("a")
-	n.OutputPort("po", n.Not("inv", a))
-	u := NewUniverse(n)
-
-	dst, depth2, depth3 := NewStatusMap(u), NewStatusMap(u), NewStatusMap(u)
-	depth2.Set(0, Untestable)
-	depth2.Set(1, Detected)
-	depth2.Set(2, Aborted)
-	// Depth 3 overlaps: re-proves fault 0, leaves fault 1 untargeted
-	// (Undetected), upgrades the aborted fault 2.
-	depth3.Set(0, Untestable)
-	depth3.Set(2, Untestable)
-
-	dst.Overlay(depth2)
-	dst.Overlay(depth3)
-	for id, want := range map[FID]Status{0: Untestable, 1: Detected, 2: Untestable} {
-		if got := dst.Get(id); got != want {
-			t.Errorf("fault %d: %v, want %v", id, got, want)
-		}
-	}
-
-	// Size-mismatched overlays must panic rather than silently misalign.
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched overlay: want panic")
-		}
-	}()
-	dst.Overlay(&StatusMap{st: make([]Status, u.NumFaults()+1)})
 }

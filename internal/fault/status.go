@@ -121,24 +121,3 @@ func RestoreStatusMap(u *Universe, raw []byte) (*StatusMap, error) {
 	}
 	return &StatusMap{st: st}, nil
 }
-
-// Clone returns an independent copy of the map.
-func (m *StatusMap) Clone() *StatusMap {
-	return &StatusMap{st: append([]Status(nil), m.st...)}
-}
-
-// Overlay copies every non-Undetected entry of src into m. Both maps must be
-// sized for the same universe (or identically enumerated clones of it). This
-// is the disjoint-shard merge: when the sources partition the class list,
-// entries never collide and no lattice arbitration is needed — use
-// MergeStatus/Accumulator wherever sources can overlap.
-func (m *StatusMap) Overlay(src *StatusMap) {
-	if len(m.st) != len(src.st) {
-		panic(fmt.Sprintf("fault: Overlay size mismatch: %d vs %d", len(m.st), len(src.st)))
-	}
-	for id, s := range src.st {
-		if s != Undetected {
-			m.st[id] = s
-		}
-	}
-}

@@ -3,13 +3,13 @@ package flow
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"olfui/internal/atpg"
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
 	"olfui/internal/logic"
@@ -47,8 +47,11 @@ func sameReport(t *testing.T, label string, a, b *Report) {
 }
 
 // TestCampaignShardInvariance is the acceptance criterion for the streaming
-// merge: sharded and unsharded campaigns classify the benchmark identically,
-// and both match the batch-call compatibility wrapper.
+// merge under the work-stealing scheduler: however the class queue's leases
+// split across worker budgets — one worker draining every chunk in order, or
+// many stealing from each other — the benchmark classifies identically,
+// every baseline targets the full class list, and each baseline's pattern
+// set detects everything it claims.
 func TestCampaignShardInvariance(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
@@ -60,41 +63,38 @@ func TestCampaignShardInvariance(t *testing.T) {
 			Observe:    constraint.ObserveOutputs,
 		},
 	}
-	ref, err := Run(n, u, scenarios, Options{})
+	ref, err := RunCampaign(context.Background(), n, u, scenarios, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.Baseline.Stats.Aborted != 0 {
 		t.Fatalf("benchmark aborted %d classes; invariance only holds without aborts", ref.Baseline.Stats.Aborted)
 	}
-	// 999 exceeds the class count: the plan caps the shard count, so no
-	// empty shard ever re-runs the full universe. NoSched keeps the static
-	// partition live (the default scheduler collapses shard groups), so the
-	// loop also pins the dynamic ref against every static shard count.
-	for _, k := range []int{2, 4, 999} {
-		r, err := RunCampaign(context.Background(), n, u, scenarios, Options{NoSched: true, Shards: k})
+	grader, err := sim.NewGrader(n, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 16} {
+		r, err := RunCampaign(context.Background(), n, u, scenarios, Options{Workers: workers})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		sameReport(t, "shards", ref, r)
-		if got, want := r.Baseline.Stats.Classes, ref.Baseline.Stats.Classes; got != want {
-			t.Fatalf("shards=%d: merged baseline targeted %d classes, want %d", k, got, want)
+		sameReport(t, "workers", ref, r)
+		if got, want := r.Baseline.Stats.Classes, fault.NewCollapse(u).NumClasses(); got != want {
+			t.Fatalf("workers=%d: baseline targeted %d classes, want all %d", workers, got, want)
 		}
-		// The sharded baseline still carries a pattern set that detects
-		// everything it claims.
 		det := r.Baseline.Status.FaultsWith(fault.Detected)
-		grader, err := sim.NewGrader(n, u)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if got := grader.Grade(r.Baseline.Patterns, r.Baseline.States, det).Count(); got != len(det) {
-			t.Fatalf("shards=%d: merged pattern set detects %d/%d", k, got, len(det))
+			t.Fatalf("workers=%d: baseline pattern set detects %d/%d", workers, got, len(det))
 		}
 	}
 }
 
-// TestShardInvarianceRandom is the satellite property test: seeded random
-// netlists classify byte-identically under sharded and unsharded campaigns.
+// TestShardInvarianceRandom is the random-netlist counterpart of
+// TestCampaignShardInvariance: seeded random netlists classify
+// byte-identically whether one worker drains the class queues in order or
+// four split them into stolen leases, including under a Tie-constrained
+// scenario.
 func TestShardInvarianceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 14, FFs: 2, Outputs: 2})
@@ -107,24 +107,25 @@ func TestShardInvarianceRandom(t *testing.T) {
 				Observe:    constraint.ObserveOutputs,
 			},
 		}
-		r1, err := RunCampaign(context.Background(), nl, u, scenarios, Options{NoSched: true, Shards: 1})
+		r1, err := RunCampaign(context.Background(), nl, u, scenarios, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if r1.Baseline.Stats.Aborted != 0 {
-			t.Fatalf("seed %d aborted classes", seed)
-		}
-		r4, err := RunCampaign(context.Background(), nl, u, scenarios, Options{NoSched: true, Shards: 4})
+		requireNoAborts(t, r1, fmt.Sprintf("seed %d", seed))
+		r4, err := RunCampaign(context.Background(), nl, u, scenarios, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sameReport(t, "seed", r1, r4)
+		sameReport(t, fmt.Sprintf("seed %d", seed), r1, r4)
 	}
 }
 
-// TestCampaignCancellation cancels mid-merge: the campaign must return the
-// context error and leave no goroutines behind. CI runs this under -race so
-// the context plumbing through the engine dispatch loop is exercised.
+// TestCampaignCancellation cancels mid-merge with several providers running
+// concurrently and a worker budget below the provider count, so workers
+// contend on the slot pool: the campaign must return the context error,
+// unblock every worker parked on the pool, and leave no goroutines behind.
+// CI runs this under -race so the context plumbing through the engine
+// dispatch loop is exercised.
 func TestCampaignCancellation(t *testing.T) {
 	nl := testutil.RandomNetlist(3, testutil.RandOpts{Inputs: 6, Gates: 40, FFs: 4, Outputs: 3})
 	u := fault.NewUniverse(nl)
@@ -134,12 +135,9 @@ func TestCampaignCancellation(t *testing.T) {
 	var once sync.Once
 	_, err := RunCampaign(ctx, nl, u, []Scenario{
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
+		{Name: "full-obs"},
 	}, Options{
-		// Static mode keeps three concurrent baseline shards to cancel
-		// across; the scheduler path's cancellation is covered separately
-		// (TestSchedulerCancellation).
-		NoSched: true,
-		Shards:  3,
+		Workers: 2,
 		Progress: func(Event) {
 			once.Do(cancel) // cancel on the first merged delta
 		},
@@ -416,11 +414,6 @@ func TestCampaignProgressEvents(t *testing.T) {
 	_, err := RunCampaign(context.Background(), n, u, []Scenario{
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 	}, Options{
-		// The static scheduling path: shard providers keep their own names
-		// (the roster pinned below); the default scheduler would collapse
-		// them into one queue-fed provider.
-		NoSched: true,
-		Shards:  2,
 		Progress: func(e Event) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -443,7 +436,7 @@ func TestCampaignProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"full-scan[1/2]", "full-scan[2/2]", "scenario:online-obs"}
+	want := []string{"full-scan", "scenario:online-obs"}
 	if len(done) != len(want) {
 		t.Fatalf("terminal events for %d providers, want %d (%v)", len(done), len(want), done)
 	}
@@ -497,31 +490,5 @@ func TestCampaignConfig(t *testing.T) {
 	}
 	if err := c.Add(&PatternProvider{}); err == nil {
 		t.Error("duplicate provider name: want error")
-	}
-	bad := NewCampaign(n, u, CampaignOptions{ATPG: atpg.Options{ObsPoints: sim.OutputObsPoints(n)}})
-	if err := bad.Add(&PatternProvider{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bad.Run(context.Background()); err == nil {
-		t.Error("preset ObsPoints: want error")
-	}
-	if _, err := RunCampaign(context.Background(), n, u, nil, Options{ATPG: atpg.Options{Classes: []fault.FID{0}}}); err == nil {
-		t.Error("preset Classes: want error")
-	}
-	// Annotations are per-netlist: an original-netlist table handed to a
-	// scenario clone would index out of range, so campaigns reject it.
-	ann, err := n.Annotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunCampaign(context.Background(), n, u, nil, Options{ATPG: atpg.Options{Annotations: ann}}); err == nil {
-		t.Error("preset Annotations: want error")
-	}
-	withAnn := NewCampaign(n, u, CampaignOptions{ATPG: atpg.Options{Annotations: ann}})
-	if err := withAnn.Add(&PatternProvider{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := withAnn.Run(context.Background()); err == nil {
-		t.Error("campaign with preset Annotations: want error")
 	}
 }

@@ -29,7 +29,7 @@ func resumeScenarios() []Scenario {
 	}
 }
 
-// requireNoAborts: report equivalence across kill/resume (like shard
+// requireNoAborts: report equivalence across kill/resume (like worker-count
 // invariance) is only guaranteed absent aborts — Detected and Untestable are
 // complete proofs, Aborted depends on search luck.
 func requireNoAborts(t *testing.T, r *Report, label string) {
@@ -102,7 +102,7 @@ func TestKillResumeEquivalence(t *testing.T) {
 		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 16, FFs: 2, Outputs: 2})
 		scenarios := resumeScenarios()
 
-		ref, err := Run(nl, fault.NewUniverse(nl), scenarios, Options{SerialScenarios: true})
+		ref, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios, Options{SerialScenarios: true})
 		if err != nil {
 			t.Fatalf("seed %d reference: %v", seed, err)
 		}
@@ -287,5 +287,90 @@ func TestEventErrStringAndWire(t *testing.T) {
 	w := e.Wire()
 	if w.Channel != "mission" || w.Err != "boom" || w.Source != "p@k=2" || !w.Done || w.Faults != 7 {
 		t.Fatalf("wire event %+v", w)
+	}
+}
+
+// pinnedFingerprint is the journal fingerprint of pinnedCampaign, byte for
+// byte. Journals record it at creation and resume compares it exactly, so
+// any change to these bytes orphans every journal written before the change.
+const pinnedFingerprint = `{"design":"bench","faults":96,"providers":[` +
+	`{"name":"full-scan","channel":"full-scan"},` +
+	`{"name":"scenario:online-obs","channel":"mission"},` +
+	`{"name":"sweep:reach","channel":"mission"}]}`
+
+// pinnedCampaign runs a small swept campaign over the benchmark circuit
+// against journal j.
+func pinnedCampaign(t *testing.T, j *journal.Journal) (*Report, error) {
+	t.Helper()
+	n := benchCircuit(t)
+	return RunCampaign(context.Background(), n, fault.NewUniverse(n), []Scenario{
+		{Name: "online-obs", Observe: constraint.ObserveOutputs},
+		reachScenario(2),
+	}, Options{MaxFrames: 4, Journal: j})
+}
+
+// TestFingerprintPinned pins journal compatibility: the default campaign
+// writes exactly the fingerprint bytes earlier releases wrote, so their
+// journals keep resuming; and a journal written by a scheduling or sweep
+// mode that no longer exists — a cold-sweep "no_replay" fingerprint, or a
+// statically sharded provider roster — is refused as a different campaign
+// instead of being misread into this one.
+func TestFingerprintPinned(t *testing.T) {
+	dir := t.TempDir()
+	j, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pinnedCampaign(t, j); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j, err = journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(j.Recovered().Meta); got != pinnedFingerprint {
+		t.Fatalf("fingerprint changed:\n  got:  %s\n  want: %s", got, pinnedFingerprint)
+	}
+	r, err := pinnedCampaign(t, j)
+	j.Close()
+	if err != nil {
+		t.Fatalf("resume over the pinned fingerprint: %v", err)
+	}
+	if len(r.Resumed) != 3 {
+		t.Fatalf("resumed %v, want all 3 providers skipped", r.Resumed)
+	}
+
+	for name, meta := range map[string]string{
+		"no_replay": strings.Replace(pinnedFingerprint, `"faults":96,`, `"faults":96,"no_replay":true,`, 1),
+		"sharded": strings.Replace(pinnedFingerprint, `{"name":"full-scan","channel":"full-scan"}`,
+			`{"name":"full-scan[1/3]","channel":"full-scan"},{"name":"full-scan[2/3]","channel":"full-scan"},`+
+				`{"name":"full-scan[3/3]","channel":"full-scan"}`, 1),
+	} {
+		dir := t.TempDir()
+		j, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.SetMeta([]byte(meta)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendDelta(ChannelFullScan.String(), "full-scan", fault.Delta{
+			Source: "full-scan", FIDs: []fault.FID{0}, Statuses: []fault.Status{fault.Detected},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if j, err = journal.Open(dir, journal.Options{Sync: journal.SyncNone}); err != nil {
+			t.Fatal(err)
+		}
+		if j.Recovered() == nil {
+			t.Fatalf("%s: hand-written journal recovered nothing", name)
+		}
+		_, err = pinnedCampaign(t, j)
+		j.Close()
+		if err == nil || !strings.Contains(err.Error(), "belongs to a different campaign") {
+			t.Errorf("%s journal: err = %v, want a different-campaign refusal", name, err)
+		}
 	}
 }

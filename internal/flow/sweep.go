@@ -29,8 +29,8 @@ type SweepDepthStats struct {
 	// CumUntestable is the running size of that projected set.
 	CumUntestable int
 	// ReplayPatterns counts the warm-start pool patterns replayed against
-	// this depth's surviving classes before any search (0 at the first depth
-	// and with replay disabled).
+	// this depth's surviving classes before any search (0 at the first
+	// depth).
 	ReplayPatterns int
 	// ReplayDropped counts the classes the replay proved Detected at this
 	// depth, dropping them before the engine dispatched.
@@ -365,9 +365,9 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		opts.Learn = learn
 		opts.Grader = grader
 		opts.Classes = classes
-		// Sweep-aware depth sharding: the depth's surviving class list fans
-		// out across the campaign worker pool through a fresh lease queue —
-		// one Extend/AnnotateAppended/Learning rebuild per depth, then every
+		// The depth's surviving class list fans out across the campaign
+		// worker pool through a fresh lease queue — one
+		// Extend/AnnotateAppended/Learning extension per depth, then every
 		// worker searches the shared read-only extended clone. Depth delta
 		// sources and the convergence rule are untouched: scheduling only
 		// reorders searches within a depth.
@@ -386,7 +386,7 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 			replayPatterns int
 			replayNS       int64
 		)
-		if !env.NoReplay && pool.size() > 0 && len(classes) > 0 {
+		if pool.size() > 0 && len(classes) > 0 {
 			replayStart := time.Now()
 			pool.lift(len(clone.PrimaryInputs()), len(clone.FlipFlops()))
 			survivors := append([]fault.FID(nil), classes...)
@@ -408,9 +408,7 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 						continue
 					}
 					replayDetected = append(replayDetected, fid)
-					if opts.Source != nil {
-						opts.Source.Remove(fid)
-					}
+					opts.Source.Remove(fid)
 				}
 				survivors = kept
 			}
@@ -497,10 +495,10 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		}
 		cumProjected += newProjected
 		// Depths re-target every class not yet proven untestable, so class
-		// tallies must not be summed across them (atpg.Stats.Add is for
-		// disjoint shards); only the work counters accumulate here — the
-		// classification tallies are derived from the cumulative map after
-		// the loop. Depths run sequentially, so elapsed time sums.
+		// tallies must not be summed across them; only the work counters
+		// accumulate here — the classification tallies are derived from the
+		// cumulative map after the loop. Depths run sequentially, so elapsed
+		// time sums.
 		work.SimDropped += out.Stats.SimDropped
 		work.Learned += out.Stats.Learned
 		work.Patterns += out.Stats.Patterns
@@ -570,25 +568,13 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		}
 		// Warm-start the next depth: the grader (simulator, shared graph,
 		// observation CSRs) and the learning cache extend in place over the
-		// appended suffix instead of rebuilding from the full netlist. With
-		// the warm start disabled, every depth rebuilds both from scratch —
-		// the cold-start behavior the warm path is benchmarked against.
-		if env.NoReplay {
-			if grader, err = sim.NewGraderSites(clone, cu, obs, sm); err != nil {
-				return fmt.Errorf("rebuild grader at %d frames: %w", ur.Frames(), err)
-			}
-			grader.Instrument(env.Metrics)
-			if !env.ATPG.NoLearn {
-				learn = atpg.BuildLearningOn(clone, grader.Graph(), env.Metrics)
-			}
-		} else {
-			if err := grader.Extend(order); err != nil {
-				return fmt.Errorf("extend grader to %d frames: %w", ur.Frames(), err)
-			}
-			if learn != nil {
-				if err := learn.Extend(order, stale, env.Metrics); err != nil {
-					return fmt.Errorf("extend learning to %d frames: %w", ur.Frames(), err)
-				}
+		// appended suffix instead of rebuilding from the full netlist.
+		if err := grader.Extend(order); err != nil {
+			return fmt.Errorf("extend grader to %d frames: %w", ur.Frames(), err)
+		}
+		if learn != nil {
+			if err := learn.Extend(order, stale, env.Metrics); err != nil {
+				return fmt.Errorf("extend learning to %d frames: %w", ur.Frames(), err)
 			}
 		}
 	}

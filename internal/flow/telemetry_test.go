@@ -10,12 +10,12 @@ import (
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
 	"olfui/internal/obs"
+	"olfui/internal/sched"
+	"olfui/internal/sim"
 )
 
-// statSum accumulates the work fields of per-run engine stats — unlike
-// atpg.Stats.Add it sums every field including Classes without the
-// shared-universe conventions, because the obs counters count raw per-run
-// tallies.
+// statSum accumulates the work fields of per-run engine stats: the obs
+// counters count raw per-run tallies, so every field sums.
 type statSum struct {
 	classes, detected, untestable, aborted int64
 	simDropped, patterns, backtracks       int64
@@ -35,11 +35,12 @@ func (s *statSum) add(st atpg.Stats) {
 }
 
 // TestRegistryMatchesStats is the telemetry layer's exactness pin: one
-// registry hammered by every provider of a sharded, swept, parallel campaign
-// reports totals identical to the sum of the per-run atpg.Stats — the
-// counters mirror the coordinator's tallies branch for branch, not
-// approximately. Run under -race this also proves the recording paths are
-// data-race-free in their real usage.
+// registry hammered by every provider of a swept, parallel campaign reports
+// totals identical to the sum of the per-run atpg.Stats — the counters
+// mirror the coordinator's tallies branch for branch, not approximately.
+// Run under -race this also proves the recording paths are data-race-free
+// in their real usage. The scheduler's own counters are pinned by
+// TestSchedulerTelemetry.
 func TestRegistryMatchesStats(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
@@ -48,23 +49,17 @@ func TestRegistryMatchesStats(t *testing.T) {
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 		reachScenario(2),
 	}, Options{
-		// Static mode keeps the shard partitions live so the summation
-		// exercises real multi-provider accounting; the scheduler path's
-		// exactness is pinned by TestSchedulerTelemetry.
-		NoSched:        true,
-		Shards:         3,
-		ScenarioShards: 2,
-		MaxFrames:      4,
-		Metrics:        reg,
+		Workers:   3,
+		MaxFrames: 4,
+		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Sum the per-run stats the way the counters saw them: baseline shards
-	// and non-swept scenario shards merge by Stats.Add (field sums), while a
-	// swept scenario's converged Outcome.Stats DERIVES its class tallies from
-	// the cumulative map — the per-depth Stats entries are what the counters
+	// Sum the per-run stats the way the counters saw them: a swept
+	// scenario's converged Outcome.Stats DERIVES its class tallies from the
+	// cumulative map — the per-depth Stats entries are what the counters
 	// actually recorded.
 	var want statSum
 	want.add(r.Baseline.Stats)
@@ -76,6 +71,9 @@ func TestRegistryMatchesStats(t *testing.T) {
 			continue
 		}
 		want.add(sr.Outcome.Stats)
+	}
+	if want.classes == 0 || want.detected == 0 || want.untestable == 0 {
+		t.Fatalf("degenerate campaign: %+v", want)
 	}
 
 	snap := reg.Snapshot()
@@ -93,9 +91,6 @@ func TestRegistryMatchesStats(t *testing.T) {
 		if got := snap.Counter(name); got != wantV {
 			t.Errorf("%s = %d, want %d (summed stats)", name, got, wantV)
 		}
-	}
-	if want.classes == 0 || want.detected == 0 || want.untestable == 0 {
-		t.Fatalf("degenerate campaign: %+v", want)
 	}
 
 	// Every search lands one sample in the latency histogram; resolved-
@@ -150,7 +145,6 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 		reachScenario(2),
 	}, Options{
-		Shards:    2,
 		MaxFrames: 4,
 		Progress: func(e Event) {
 			if e.Time.IsZero() {
@@ -190,7 +184,7 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 		t.Fatal("sweep emitted no per-depth delta source")
 	}
 	if len(nextSeq) < 3 {
-		t.Fatalf("campaign produced %d delta sources, want >= 3 (shards + scenarios + sweep): %v",
+		t.Fatalf("campaign produced %d delta sources, want >= 3 (baseline + scenario + sweep): %v",
 			len(nextSeq), nextSeq)
 	}
 	for prov, want := range mergedByProvider {
@@ -201,25 +195,59 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 	}
 }
 
-// TestMetricsOptionValidation pins the single-owner rule: the campaign
-// threads its registry into every engine, so a caller-set ATPG.Metrics is
-// rejected up front at both API layers.
+// TestMetricsOptionValidation pins the single-owner rule for every field of
+// the engine template the campaign owns: providers and the campaign fill
+// each one in per run (the registry threaded into every engine, per-netlist
+// observation, classes, site maps, annotations, learning caches and graders,
+// the verdict callbacks, class sources and the worker pool), so a caller-set
+// value would be silently overwritten or applied to the wrong netlist. Each
+// is rejected up front, naming the field, at both API layers.
 func TestMetricsOptionValidation(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	bad := atpg.Options{Metrics: obs.New()}
-
-	c := NewCampaign(n, u, CampaignOptions{ATPG: bad})
-	if err := c.Add(NewBaselineProviders(u, 1)[0]); err != nil {
+	ann, err := n.Annotate()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "ATPG.Metrics") {
-		t.Fatalf("Campaign.Run: err %v, want ATPG.Metrics rejection", err)
+	learn, err := atpg.BuildLearning(n, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	grader, err := sim.NewGrader(n, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*atpg.Options)
+	}{
+		{"ObsPoints", func(o *atpg.Options) { o.ObsPoints = sim.OutputObsPoints(n) }},
+		{"Classes", func(o *atpg.Options) { o.Classes = []fault.FID{0} }},
+		{"Sites", func(o *atpg.Options) { o.Sites = fault.NewSiteMap() }},
+		{"Annotations", func(o *atpg.Options) { o.Annotations = ann }},
+		{"Learn", func(o *atpg.Options) { o.Learn = learn }},
+		{"Progress", func(o *atpg.Options) { o.Progress = func(fault.FID, atpg.Verdict) {} }},
+		{"Metrics", func(o *atpg.Options) { o.Metrics = obs.New() }},
+		{"Source", func(o *atpg.Options) { o.Source = sched.NewStatic([]fault.FID{0}) }},
+		{"Pool", func(o *atpg.Options) { o.Pool = sched.NewPool(1, nil) }},
+		{"Grader", func(o *atpg.Options) { o.Grader = grader }},
+	} {
+		var bad atpg.Options
+		tc.set(&bad)
 
-	if _, err := Run(n, u, []Scenario{{Name: "s", Observe: constraint.ObserveOutputs}},
-		Options{ATPG: bad}); err == nil || !strings.Contains(err.Error(), "ATPG.Metrics") {
-		t.Fatalf("flow.Run: err %v, want ATPG.Metrics rejection", err)
+		c := NewCampaign(n, u, CampaignOptions{ATPG: bad})
+		if err := c.Add(&BaselineProvider{}); err != nil {
+			t.Fatal(err)
+		}
+		want := "flow: CampaignOptions.ATPG." + tc.field + " must be nil"
+		if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Campaign.Run with ATPG.%s: err %v, want %q", tc.field, err, want)
+		}
+
+		want = "flow: Options.ATPG." + tc.field + " must be nil"
+		if _, err := RunCampaign(context.Background(), n, u, []Scenario{{Name: "s", Observe: constraint.ObserveOutputs}},
+			Options{ATPG: bad}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunCampaign with ATPG.%s: err %v, want %q", tc.field, err, want)
+		}
 	}
 }

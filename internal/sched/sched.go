@@ -2,15 +2,16 @@
 // primitives: a chunked, lease-based class queue with work stealing (Queue)
 // and a campaign-global worker-slot pool (Pool).
 //
-// The queue replaces static fault.PlanShards class lists on the in-process
-// path: instead of fixing each worker's share up front — where a cluster of
-// hard (deep-backtrack, Aborted-prone) classes turns one shard into the
-// campaign's straggler — workers lease chunks on demand. Chunk sizes decay
-// geometrically with the remaining load (guided self-scheduling): large
-// chunks early keep lease traffic and lock contention negligible, small
-// chunks at the tail stop a single lease from hiding the last hard classes
-// from idle workers, and once the shared pool runs dry an idle worker steals
-// the unstarted half of the most loaded lease. The queue is also prunable in
+// The queue is how every campaign provider hands its class list to the
+// engine workers: instead of fixing each worker's share up front — where a
+// cluster of hard (deep-backtrack, Aborted-prone) classes turns one worker
+// into the campaign's straggler — workers lease chunks on demand. Chunk
+// sizes decay geometrically with the remaining load (guided
+// self-scheduling): large chunks early keep lease traffic and lock
+// contention negligible, small chunks at the tail stop a single lease from
+// hiding the last hard classes from idle workers, and once the shared pool
+// runs dry an idle worker steals the unstarted half of the most loaded
+// lease. The queue is also prunable in
 // flight: fault dropping and the learning screen remove classes that no
 // longer need a search, wherever they sit (shared pool or an unstarted
 // lease).
@@ -19,16 +20,13 @@
 // chunk handed to a worker is exactly the shard spec a remote worker would
 // lease over the wire, and Release — returning the unstarted remainder of a
 // lease to the shared pool — is the re-plan step for a worker that churns.
-// fault.PlanShards remains the deterministic partition for flows that need a
-// reproducible static plan (journal compatibility, cross-process shard
-// agreement without coordination); see that package's doc for the selection
-// rule.
+// NewStatic is the deterministic alternative: strict class-order dispatch
+// with no stealing, for direct GenerateAll callers that supply no Source.
 //
 // Verdict soundness is untouched by scheduling: Detected and Untestable are
 // complete proofs, so any dequeue order yields the same terminal statuses.
 // Only Aborted verdicts are order-sensitive (a pattern generated earlier may
-// drop a class another order would have searched to the backtrack limit),
-// exactly as with static shard plans.
+// drop a class another order would have searched to the backtrack limit).
 package sched
 
 import (
